@@ -2,7 +2,7 @@
 
 Not paper figures — these quantify the library's own engineering decisions:
 
-* stream vs grouped SpMM execution (the fused batched-matmul kernel);
+* the row-group executor against scipy's native ``csr @ B``;
 * static vs dynamic parallel schedule on skewed inputs;
 * 32- vs 64-bit dtype policy (paper §6.3.5);
 * BCSR reformat vs save/load (paper §6.3.2 interim tool);
@@ -23,34 +23,41 @@ from repro.matrices.suite import load_matrix
 from conftest import K, SCALE, build, dense_operand
 
 
-class TestStreamVsGrouped:
+class TestExecutorVsNative:
     @pytest.mark.parametrize("variant", ("serial", "grouped"))
     def test_execution(self, benchmark, variant):
         A = build("pdb1HYS", "csr")
         B = dense_operand(A)
-        # Warm the grouped plan cache outside the timer.
+        # Build the memoized row-group lowering outside the timer.
         A.spmm(B, variant=variant)
         C = benchmark(lambda: A.spmm(B, variant=variant))
         assert C.shape == (A.nrows, K)
 
-    def test_grouped_is_faster(self):
+    def test_serial_csr_within_bound_of_scipy(self):
+        """Serial CSR on cant (scale 16, k=32) stays within 8x scipy's
+        ``csr @ B``.  The row-group executor measured 2.8-3.3x on a 2-CPU
+        x86 host; the gather/scale/reduceat stream kernels it replaced ran
+        25-55x, so the bound still separates the two designs."""
         import time
 
-        A = build("pdb1HYS", "csr")
+        sparse = pytest.importorskip("scipy.sparse")
+        t = load_matrix("cant", scale=16)
+        A = get_format("csr").from_triplets(t)
+        S = sparse.csr_matrix((t.values, (t.rows, t.cols)), shape=A.shape)
         B = dense_operand(A)
+        A.spmm(B)  # build the lowering outside the timer
 
-        def best(fn, n=3):
-            fn()  # warm caches and plans
-            times = []
-            for _ in range(n):
-                t0 = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - t0)
-            return min(times)
+        def seconds(fn):
+            t0 = time.perf_counter()
+            fn()
+            return time.perf_counter() - t0
 
-        stream = best(lambda: A.spmm(B, variant="serial"))
-        grouped = best(lambda: A.spmm(B, variant="grouped"))
-        assert grouped < stream
+        kernel, native = [], []
+        for _ in range(5):  # interleaved, so host drift hits both alike
+            kernel.append(seconds(lambda: A.spmm(B)))
+            native.append(seconds(lambda: S @ B))
+        assert np.allclose(A.spmm(B), S @ B)
+        assert min(kernel) <= 8 * min(native)
 
 
 class TestSchedules:

@@ -33,8 +33,8 @@ class BenchParams:
     k: int = 128
     variant: str = "serial"
     schedule: str = "static"
-    #: Per-chunk intermediate budget (entries x k) for the stream kernels —
-    #: the tunable the autotuner samples (see repro.tune).
+    #: Per-batch intermediate budget (entries x k) of the kernels — the
+    #: tunable the autotuner samples (see repro.tune).
     chunk_elements: int = DEFAULT_CHUNK_ELEMENTS
     thread_list: tuple[int, ...] = field(default_factory=tuple)
     dtype_policy: DTypePolicy = DEFAULT_POLICY
@@ -128,7 +128,7 @@ class BenchParams:
                             help="parallel loop schedule")
         parser.add_argument("--chunk-elements", type=int, default=DEFAULT_CHUNK_ELEMENTS,
                             dest="chunk_elements",
-                            help="per-chunk intermediate budget for stream kernels")
+                            help="per-batch intermediate budget (entries x k) of the kernels")
         parser.add_argument("--thread-list", default="",
                             help="comma-separated thread counts to sweep (Study 3.1)")
         parser.add_argument("--dtypes", default="mixed", choices=sorted(_POLICIES),

@@ -129,6 +129,11 @@ class Engine:
     #: matrix objects; a serving workload streams one-shot matrices through,
     #: and without a cap the memo would pin every one of them in memory.
     FP_MEMO_CAPACITY = 1024
+    #: Cap on matrices kept published in shared memory (process backend).
+    #: Each holds three segments and their file descriptors; a serving
+    #: workload of one-shot matrices would otherwise grow both until the
+    #: process runs out of descriptors.  Least recently used go first.
+    SHM_MATRIX_CAPACITY = 64
 
     def __init__(
         self,
@@ -185,9 +190,9 @@ class Engine:
         self._close_backend = close_backend
         self._lock = threading.Lock()
         self._closed = False
-        #: fingerprint -> (descriptor dict, [SharedArray segments]) for
-        #: matrices already published to shared memory (process backend).
-        self._shm_matrices: dict[str, tuple[dict, list[SharedArray]]] = {}
+        #: fingerprint -> published matrix (process backend), an LRU capped
+        #: at SHM_MATRIX_CAPACITY; insertion order is recency order.
+        self._shm_matrices: dict[str, _SharedMatrix] = {}
         #: Memos shared across requests: suite-name -> triplets, fingerprint
         #: -> triplets (for SparseFormat inputs), (fingerprint, k) -> auto
         #: resolution, and the per-plan-key build locks.
@@ -227,9 +232,11 @@ class Engine:
         with self._lock:
             published = list(self._shm_matrices.values())
             self._shm_matrices.clear()
-        for _descriptor, segments in published:
-            for segment in segments:
-                segment.destroy(tracer=self.tracer)
+            for entry in published:
+                entry.evicted = True
+        for entry in published:
+            if entry.pins == 0:
+                entry.destroy(self.tracer)
 
     def drain(self, timeout: float | None = None) -> bool:
         """Wait until no request is queued or executing (engine stays open)."""
@@ -438,7 +445,8 @@ class Engine:
         """Ship one task to a backend worker process over shared memory.
 
         The matrix triplets are published to shared memory once per
-        fingerprint and reused for every later request of the group; the
+        fingerprint and reused for later requests of the group while they
+        stay among the :attr:`SHM_MATRIX_CAPACITY` most recent; the
         dense operand and the pre-sized output travel per request and are
         unlinked as soon as the reply lands — a failed or dead worker
         cannot leak a per-request segment.  Migrated groups arrive here
@@ -448,37 +456,40 @@ class Engine:
         processes without shipping plan objects.
         """
         fingerprint = self._fingerprint(triplets)
-        descriptor = self._shared_matrix(fingerprint, triplets)
-        B_seg = SharedArray.from_array(B, tracer=self.tracer)
-        C_seg = SharedArray.empty(
-            (triplets.nrows, B.shape[1]), self.policy.value, tracer=self.tracer
-        )
-        spec = {
-            "fingerprint": fingerprint,
-            "matrix": descriptor,
-            "fmt": fmt,
-            "fmt_params": dict(fmt_params or {}),
-            "variant": variant,
-            "k": request.k,
-            "threads": threads,
-            "repeats": request.repeats,
-            "policy": self.policy,
-            "B": B_seg.spec,
-            "C": C_seg.spec,
-            "verify": request.verify,
-            "migrated": migrated,
-        }
-        self.tracer.count("engine_backend_remote_tasks")
-        t_remote = time.perf_counter()
+        shared = self._shared_matrix(fingerprint, triplets)
         try:
-            reply = self._backend.run_task(spec)
-            output = C_seg.copy_out()
-        except EngineError:
-            self.tracer.count("engine_backend_worker_errors")
-            raise
+            B_seg = SharedArray.from_array(B, tracer=self.tracer)
+            C_seg = SharedArray.empty(
+                (triplets.nrows, B.shape[1]), self.policy.value, tracer=self.tracer
+            )
+            spec = {
+                "fingerprint": fingerprint,
+                "matrix": shared.descriptor,
+                "fmt": fmt,
+                "fmt_params": dict(fmt_params or {}),
+                "variant": variant,
+                "k": request.k,
+                "threads": threads,
+                "repeats": request.repeats,
+                "policy": self.policy,
+                "B": B_seg.spec,
+                "C": C_seg.spec,
+                "verify": request.verify,
+                "migrated": migrated,
+            }
+            self.tracer.count("engine_backend_remote_tasks")
+            t_remote = time.perf_counter()
+            try:
+                reply = self._backend.run_task(spec)
+                output = C_seg.copy_out()
+            except EngineError:
+                self.tracer.count("engine_backend_worker_errors")
+                raise
+            finally:
+                B_seg.destroy(tracer=self.tracer)
+                C_seg.destroy(tracer=self.tracer)
         finally:
-            B_seg.destroy(tracer=self.tracer)
-            C_seg.destroy(tracer=self.tracer)
+            self._release_shared_matrix(shared)
         self.tracer.count("engine_backend_remote_s", time.perf_counter() - t_remote)
 
         # Fold the worker-side trace (plan-cache traffic, thread clamps)
@@ -501,13 +512,23 @@ class Engine:
         self.tracer.count("engine_repeats", request.repeats)
         return output, timing, provenance, plan_time, execute_s, reply["verified"]
 
-    def _shared_matrix(self, fingerprint: str, triplets: Triplets) -> dict:
-        """Publish a matrix's triplet arrays to shm, once per fingerprint."""
+    def _shared_matrix(self, fingerprint: str, triplets: Triplets) -> "_SharedMatrix":
+        """Publish a matrix's triplet arrays to shm, once per fingerprint.
+
+        The returned entry is pinned for the caller's task; release it with
+        :meth:`_release_shared_matrix`.  Publishing past
+        :attr:`SHM_MATRIX_CAPACITY` evicts the least recently used entry —
+        its segments are unlinked at once, or, while a task still maps
+        them, when that task releases its pin.
+        """
         with self._lock:
-            hit = self._shm_matrices.get(fingerprint)
+            hit = self._shm_matrices.pop(fingerprint, None)
+            if hit is not None:
+                self._shm_matrices[fingerprint] = hit  # most recent last
+                hit.pins += 1
         if hit is not None:
             self.tracer.count("shm_matrix_reused")
-            return hit[0]
+            return hit
         segments = [
             SharedArray.from_array(triplets.rows, tracer=self.tracer),
             SharedArray.from_array(triplets.cols, tracer=self.tracer),
@@ -520,16 +541,36 @@ class Engine:
             "cols": segments[1].spec,
             "values": segments[2].spec,
         }
+        entry = _SharedMatrix(descriptor, segments)
+        evicted = []
         with self._lock:
             race = self._shm_matrices.get(fingerprint)
-            if race is None:
-                self._shm_matrices[fingerprint] = (descriptor, segments)
+            if race is not None:
+                race.pins += 1
+            else:
+                self._shm_matrices[fingerprint] = entry
+                while len(self._shm_matrices) > self.SHM_MATRIX_CAPACITY:
+                    old = self._shm_matrices.pop(next(iter(self._shm_matrices)))
+                    old.evicted = True
+                    if old.pins == 0:
+                        evicted.append(old)
+        for old in evicted:
+            old.destroy(self.tracer)
+            self.tracer.count("shm_matrix_evicted")
         if race is not None:
             # Another thread published first; keep theirs, free ours.
-            for segment in segments:
-                segment.destroy(tracer=self.tracer)
-            return race[0]
-        return descriptor
+            entry.destroy(self.tracer)
+            return race
+        return entry
+
+    def _release_shared_matrix(self, entry: "_SharedMatrix") -> None:
+        """Drop a task's pin; unlink an evicted entry once nothing maps it."""
+        with self._lock:
+            entry.pins -= 1
+            orphaned = entry.evicted and entry.pins == 0
+        if orphaned:
+            entry.destroy(self.tracer)
+            self.tracer.count("shm_matrix_evicted")
 
     # -- matrix / variant resolution ------------------------------------------
 
@@ -785,3 +826,21 @@ def batch_requests(
 ) -> list[SpmmRequest]:
     """Helper: one request per dense panel against a single matrix."""
     return [SpmmRequest(matrix=matrix, dense=panel, **request_kwargs) for panel in panels]
+
+
+class _SharedMatrix:
+    """A matrix published to shared memory, pinned by in-flight tasks."""
+
+    __slots__ = ("descriptor", "segments", "pins", "evicted")
+
+    def __init__(self, descriptor: dict, segments: list[SharedArray]):
+        self.descriptor = descriptor
+        self.segments = segments
+        #: Tasks currently mapping the segments; never unlinked while > 0.
+        self.pins = 1
+        #: Dropped from the engine's table; unlinked when ``pins`` reaches 0.
+        self.evicted = False
+
+    def destroy(self, tracer) -> None:
+        for segment in self.segments:
+            segment.destroy(tracer=tracer)

@@ -142,6 +142,18 @@ class SparseFormat(abc.ABC):
 
     # -- misc ---------------------------------------------------------------
 
+    def __getstate__(self) -> dict:
+        """Pickle the format's own arrays only.
+
+        The kernels memoize a row-group lowering on the instance
+        (:func:`repro.kernels.rowgroups.lowered`); it is derived data,
+        rebuilt on first use, and never written to the plan cache's disk
+        tier or shipped to worker processes.
+        """
+        state = self.__dict__.copy()
+        state.pop("_row_groups", None)
+        return state
+
     def check_dense_operand(self, B: np.ndarray, k: int | None = None) -> np.ndarray:
         """Validate/clip the dense operand for SpMM.
 

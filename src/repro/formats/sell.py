@@ -179,24 +179,6 @@ class SELL(SparseFormat):
             policy=policy,
         )
 
-    def padded_indptr(self) -> np.ndarray:
-        """CSR-style row pointer over the *sorted* padded storage.
-
-        The flat chunk-major storage is row-major inside each chunk, so the
-        concatenation over chunks is exactly a padded CSR on sorted
-        positions: sorted row ``i`` owns ``widths[i // chunk]`` consecutive
-        slots.  Kernel specialization streams this view directly
-        (padded-rectangle streaming) and scatters results back through the
-        permutation; padding slots carry value 0 so they contribute nothing.
-        """
-        rows_per_chunk = np.minimum(
-            self.chunk, self.nrows - np.arange(self.nchunks) * self.chunk
-        )
-        per_row = np.repeat(self.widths, rows_per_chunk)
-        indptr = np.zeros(self.nrows + 1, dtype=np.int64)
-        np.cumsum(per_row, out=indptr[1:])
-        return indptr
-
     def _flat_base(self) -> np.ndarray:
         """Flat offset of each sorted position's first slot."""
         pos = np.arange(self.nrows, dtype=np.int64)

@@ -1,12 +1,13 @@
-"""Shared kernel machinery: segment sums, row chunking, operand checks.
+"""Shared kernel machinery: segment sums, row chunking, work partitions.
 
-The SpMM inner product over a sparse row is a *segmented reduction* over the
-row-major entry stream; every CPU kernel here reduces with
-:func:`segment_sum` (``np.add.reduceat`` with empty-segment repair) instead
-of per-row Python loops.  Row chunking bounds the ``(entries, k)``
-intermediate so large matrices never materialize multi-GB temporaries —
-the paper hit exactly this wall (§6.3.5, "they used a huge amount of the
-available RAM").
+The transpose and SpMV kernels reduce over the row-major entry stream as a
+*segmented reduction* with :func:`segment_sum` (``np.add.reduceat`` with
+empty-segment repair) instead of per-row Python loops.  Row chunking bounds
+the ``(entries, k)`` intermediate so large matrices never materialize
+multi-GB temporaries — the paper hit exactly this wall (§6.3.5, "they used
+a huge amount of the available RAM").  :data:`DEFAULT_CHUNK_ELEMENTS` is
+the same bound for the forward row-group executor
+(:mod:`repro.kernels.rowgroups`).
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ __all__ = [
     "segment_sum",
     "iter_row_chunks",
     "balanced_partitions",
-    "plan_stream_segments",
-    "run_stream_segments",
     "DEFAULT_CHUNK_ELEMENTS",
 ]
 
@@ -52,63 +51,6 @@ def segment_sum(flat: np.ndarray, indptr: np.ndarray, out: np.ndarray | None = N
     reduced = np.add.reduceat(flat, starts, axis=0)
     out[nonempty] = reduced
     return out
-
-
-def plan_stream_segments(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    values_col: np.ndarray,
-    k: int,
-    row_range: tuple[int, int] | None = None,
-    max_elements: int = DEFAULT_CHUNK_ELEMENTS,
-) -> list[tuple]:
-    """Precompute the segmented-reduction schedule for one row range.
-
-    Everything :func:`segment_sum` re-derives per call — the chunk
-    boundaries, the ``reduceat`` start offsets, and the empty-segment mask —
-    plus contiguous per-chunk value/index slices, captured once so repeat
-    calls only gather, scale, and reduce.  ``values_col`` is the value
-    array already shaped ``(nnz, 1)``; pass the same reference when
-    planning several ranges to avoid re-copying it per range.
-    """
-    r_lo, r_hi = row_range if row_range is not None else (0, indptr.size - 1)
-    sub_ptr = indptr[r_lo : r_hi + 1]
-    base = int(sub_ptr[0])
-    segments = []
-    for c0, c1 in iter_row_chunks(sub_ptr - base, k, max_elements):
-        e0, e1 = int(sub_ptr[c0]), int(sub_ptr[c1])
-        if e0 == e1:
-            continue
-        local_ptr = sub_ptr[c0 : c1 + 1] - e0
-        seg_len = np.diff(local_ptr)
-        nonempty = seg_len > 0
-        starts = np.ascontiguousarray(local_ptr[:-1][nonempty])
-        mask = None if bool(nonempty.all()) else nonempty
-        segments.append((
-            r_lo + c0,
-            r_lo + c1,
-            values_col[e0:e1],
-            np.ascontiguousarray(indices[e0:e1]),
-            starts,
-            mask,
-        ))
-    return segments
-
-
-def run_stream_segments(segments: list[tuple], B: np.ndarray, C: np.ndarray) -> None:
-    """Execute a precomputed segment schedule: gather, scale, reduceat.
-
-    ``C`` must arrive zero-initialized — rows of empty segments are never
-    written (the same contract :func:`segment_sum` provides via its
-    ``out[:] = 0`` reset).
-    """
-    for r0, r1, vals, idx, starts, mask in segments:
-        products = vals * B[idx]
-        reduced = np.add.reduceat(products, starts, axis=0)
-        if mask is None:
-            C[r0:r1] = reduced
-        else:
-            C[r0:r1][mask] = reduced
 
 
 def iter_row_chunks(

@@ -17,8 +17,6 @@ import numpy as np
 
 from ..errors import KernelError
 from .gpu import gpu_spmm
-from .grouped import grouped_spmm
-from .optimized import optimized_spmm
 from .parallel import parallel_spmm
 from .serial import serial_spmm
 from .spmv import parallel_spmv, serial_spmv
@@ -50,12 +48,6 @@ def _gpu_transpose(A, B, k=None, *, runtime=None, **opts):
     return transpose_spmm(A, B, k, threads=1, **opts)
 
 
-def _optimized_parallel(A, B, k=None, *, threads: int = 32, **opts):
-    # Specialized planning plus thread fan-out: the Study 9 parallel runs.
-    opts.pop("runtime", None)
-    return parallel_spmm(A, B, k, threads=threads, **opts)
-
-
 SPMM_VARIANTS: dict[str, Callable] = {
     "serial": serial_spmm,
     "parallel": parallel_spmm,
@@ -63,12 +55,12 @@ SPMM_VARIANTS: dict[str, Callable] = {
     "serial_transpose": _serial_transpose,
     "parallel_transpose": _parallel_transpose,
     "gpu_transpose": _gpu_transpose,
-    "optimized": optimized_spmm,
-    "optimized_parallel": _optimized_parallel,
-    "grouped": lambda A, B, k=None, **o: grouped_spmm(A, B, k, threads=1),
-    "grouped_parallel": lambda A, B, k=None, *, threads=32, **o: grouped_spmm(
-        A, B, k, threads=threads
-    ),
+    # Study 9's optimized variants and the grouped variants name the same
+    # row-group executor (see kernels/optimized.py, kernels/grouped.py).
+    "optimized": serial_spmm,
+    "optimized_parallel": parallel_spmm,
+    "grouped": serial_spmm,
+    "grouped_parallel": parallel_spmm,
 }
 
 SPMV_VARIANTS: dict[str, Callable] = {

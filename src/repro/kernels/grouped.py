@@ -1,124 +1,27 @@
-"""Grouped-row SpMM: a library-quality kernel beyond the paper's set.
+"""Grouped-row SpMM: the variant names ``grouped`` / ``grouped_parallel``.
 
-The stream kernels pay three passes over an ``(nnz, k)`` intermediate
-(gather, scale, segment-sum).  Grouping rows by their nonzero count turns
-each group into a *rectangular* problem — indices ``(rows, L)``, values
-``(rows, L)`` — whose row dot-products fuse into one batched matmul
-``(rows, 1, L) @ (rows, L, k)``, eliminating the intermediates entirely.
-On typical suite matrices this runs ~10x faster than the stream kernel in
-pure NumPy.
-
-This is the same insight behind sliced/sorted ELL variants (SELL-C-sigma):
-sorting rows by length removes padding while keeping execution regular.
-The plan (group membership and rectangular index/value blocks) depends only
-on the matrix, so it is built once and cached — reusing it across calls is
-exactly the "format once, multiply many times" economics the paper's
-benchmark loop models.
-
-Exposed as kernel variants ``grouped`` and ``grouped_parallel``.
+Grouping rows by their stored length turns each group into a rectangular
+problem whose row dot-products fuse into one batched matmul — the same
+insight as sliced/sorted ELL (SELL-C-sigma).  That executor is now the one
+every forward variant runs (:mod:`repro.kernels.rowgroups`), for every
+format, so ``grouped`` is bit-identical to ``serial`` and
+``grouped_parallel`` to ``parallel``.  Its lowering is memoized on the
+format instance; plans built by :class:`~repro.kernels.plan.PlanCache`
+hold that instance, so there is no second, private kernel cache.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-from ..errors import KernelError
-from ..formats.coo import COO
-from ..formats.csr import CSR
-from ..formats.csr5 import CSR5
+from .parallel import parallel_spmm
+from .serial import serial_spmm
 
-__all__ = ["GroupedPlan", "build_plan", "grouped_spmm"]
+__all__ = ["grouped_spmm"]
 
 
-class GroupedPlan:
-    """Rows regrouped by nonzero count into rectangular blocks."""
-
-    def __init__(self, nrows: int, groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]]):
-        self.nrows = nrows
-        #: (row_ids, index_matrix, value_matrix) per distinct row length.
-        self.groups = groups
-
-    @property
-    def ngroups(self) -> int:
-        return len(self.groups)
-
-    def execute(self, B: np.ndarray, out: np.ndarray, rows_slice: slice | None = None) -> np.ndarray:
-        """Run the batched matmuls into ``out`` (zeros for absent rows)."""
-        for rows_g, idx_mat, val_mat in self.groups:
-            gathered = B[idx_mat]  # (nR, L, k)
-            out[rows_g] = (val_mat[:, None, :] @ gathered)[:, 0, :]
-        return out
-
-
-def _csr_arrays(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(A, (CSR, CSR5)):
-        return A.indptr, A.indices, A.values
-    if isinstance(A, COO):
-        return A.row_segments(), A.cols, A.values
-    raise KernelError(
-        f"grouped SpMM supports COO/CSR/CSR5 inputs, not {type(A).__name__}"
-    )
-
-
-def build_plan(A) -> GroupedPlan:
-    """Group rows by length; fully vectorized (no per-row Python loop)."""
-    indptr, indices, values = _csr_arrays(A)
-    counts = np.diff(indptr)
-    order = np.argsort(counts, kind="stable")
-    sorted_counts = counts[order]
-    uniq, group_starts = np.unique(sorted_counts, return_index=True)
-    bounds = np.append(group_starts, order.size)
-    groups = []
-    for gi, length in enumerate(uniq):
-        if length == 0:
-            continue
-        rows_g = order[bounds[gi] : bounds[gi + 1]]
-        # Every row in the group has exactly `length` entries, so the flat
-        # positions form a dense rectangle.
-        pos = indptr[rows_g][:, None] + np.arange(length)[None, :]
-        groups.append(
-            (
-                rows_g,
-                np.ascontiguousarray(indices[pos]),
-                np.ascontiguousarray(values[pos]),
-            )
-        )
-    return GroupedPlan(A.nrows, groups)
-
-
-#: id(A) -> (A, plan).  The matrix object itself is held in the entry: a
-#: bare id key goes stale when the object is collected and a *new* matrix
-#: reuses the address — the identity check below makes that impossible.
-_PLAN_CACHE: dict[int, tuple[object, GroupedPlan]] = {}
-
-
-def _plan_for(A) -> GroupedPlan:
-    hit = _PLAN_CACHE.get(id(A))
-    if hit is not None and hit[0] is A:
-        return hit[1]
-    plan = build_plan(A)
-    if len(_PLAN_CACHE) > 64:
-        _PLAN_CACHE.clear()
-    _PLAN_CACHE[id(A)] = (A, plan)
-    return plan
-
-
-def grouped_spmm(
-    A, B: np.ndarray, k: int | None = None, *, threads: int = 1, **_opts
-) -> np.ndarray:
-    """SpMM via the grouped-row plan (COO/CSR/CSR5 inputs)."""
-    B = A.check_dense_operand(B, k)
-    C = np.zeros((A.nrows, B.shape[1]), dtype=A.policy.value)
-    plan = _plan_for(A)
-    if threads <= 1 or plan.ngroups <= 1:
-        return plan.execute(B, C)
-
-    def work(group):
-        rows_g, idx_mat, val_mat = group
-        C[rows_g] = (val_mat[:, None, :] @ B[idx_mat])[:, 0, :]
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, plan.groups))
-    return C
+def grouped_spmm(A, B: np.ndarray, k: int | None = None, *, threads: int = 1, **opts) -> np.ndarray:
+    """SpMM via the row-group executor, on ``threads`` threads."""
+    if threads <= 1:
+        return serial_spmm(A, B, k, **opts)
+    return parallel_spmm(A, B, k, threads=threads, **opts)

@@ -3,13 +3,15 @@
 The paper's last study makes two hand optimizations (§5.11): it hoists the
 sparse-value load out of the k loop, and it uses C++ templates to hard-code
 the k trip count so the compiler emits SIMD and unrolled loops.  The Python
-analog of "template instantiation" is *kernel specialization*: for a given
-``(matrix, k)`` pair we precompute everything that the generic kernel
-recomputes per call — the row pointer for COO, the gathered column layout,
-the chunk schedule — and close over it, so repeated calls (exactly the
-benchmark-loop scenario) skip the bookkeeping.  The SIMD effect itself is a
-compiler property; the analytic machine model applies it through the
-trace's ``fixed_k`` flag, which is set for these kernels.
+analog of "template instantiation" is hoisting everything call-invariant
+out of the call path.  The row-group executor already does that for every
+variant: its lowering (row groups, gathered index and value rectangles) is
+built once per matrix and memoized on the format instance, and its batch
+schedule once per ``(k, chunk_elements, threads)`` — so ``optimized`` is a
+name for the same executor as ``serial`` and returns bit-identical results.
+The SIMD effect itself is a compiler property; the analytic machine model
+applies it through the trace's ``fixed_k`` flag, which is set for these
+variants.
 
 ``specialize_spmm`` is the template: it returns a callable taking only B.
 """
@@ -21,47 +23,11 @@ from typing import Callable
 import numpy as np
 
 from ..errors import KernelError
-from ..formats.bcsr import BCSR
-from ..formats.coo import COO
-from ..formats.csr import CSR
-from ..formats.csr5 import CSR5
-from ..formats.ell import ELL
-from ..formats.sell import SELL
-from .common import (
-    DEFAULT_CHUNK_ELEMENTS,
-    plan_stream_segments,
-    run_stream_segments,
-    segment_sum,
-)
+from .common import DEFAULT_CHUNK_ELEMENTS
+from .rowgroups import lowered
 from .serial import serial_spmm
 
 __all__ = ["specialize_spmm", "optimized_spmm"]
-
-
-def _specialize_stream(
-    A,
-    indptr: np.ndarray,
-    indices,
-    values,
-    k: int,
-    chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-) -> Callable:
-    # Hoisted out of the per-call path: chunk schedule, per-chunk value and
-    # index slices, and the segment-reduction plan (reduceat starts and the
-    # empty-segment mask that segment_sum rebuilds per call) — the Python
-    # analog of loop-invariant code motion.
-    values_col = np.ascontiguousarray(values)[:, None]
-    segments = plan_stream_segments(indptr, indices, values_col, k, max_elements=chunk_elements)
-    nrows = A.nrows
-    dtype = A.policy.value
-
-    def kernel(B: np.ndarray) -> np.ndarray:
-        B = A.check_dense_operand(B, k)
-        C = np.zeros((nrows, B.shape[1]), dtype=dtype)
-        run_stream_segments(segments, B, C)
-        return C
-
-    return kernel
 
 
 def specialize_spmm(
@@ -69,103 +35,15 @@ def specialize_spmm(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Build a fixed-k kernel for matrix ``A`` (the "template" analog).
 
-    The returned callable accepts the dense operand and returns C; all
-    k-dependent planning has been done at specialization time.
-    ``chunk_elements`` bounds the per-chunk intermediate, the tunable the
-    autotuner samples.
+    The returned callable accepts the dense operand and returns C; the
+    lowering is built here, ahead of the first call.  ``chunk_elements``
+    bounds the per-batch intermediate, the tunable the autotuner samples.
     """
     if k < 1:
         raise KernelError(f"k must be >= 1, got {k}")
-
-    if isinstance(A, COO):
-        indptr = A.row_segments()  # hoisted: generic kernel rebuilds this per call
-        return _specialize_stream(A, indptr, A.cols, A.values, k, chunk_elements)
-    if isinstance(A, (CSR, CSR5)):
-        return _specialize_stream(A, A.indptr, A.indices, A.values, k, chunk_elements)
-    if isinstance(A, ELL):
-        # Pre-split the slot columns once (hoisted loads).
-        slot_vals = [np.ascontiguousarray(A.values[:, j])[:, None] for j in range(A.width)]
-        slot_idx = [np.ascontiguousarray(A.indices[:, j]) for j in range(A.width)]
-        nrows, dtype = A.nrows, A.policy.value
-
-        def ell_kernel(B: np.ndarray) -> np.ndarray:
-            B = A.check_dense_operand(B, k)
-            C = np.zeros((nrows, B.shape[1]), dtype=dtype)
-            for val, idx in zip(slot_vals, slot_idx):
-                C += val * B[idx]
-            return C
-
-        return ell_kernel
-    if isinstance(A, BCSR):
-        br, bc = A.block_shape
-        flat_cols = (
-            A.block_cols.astype(np.int64)[:, None] * bc + np.arange(bc)[None, :]
-        ).reshape(-1)  # hoisted gather plan
-        brow_ptr = A.indptr
-        pad_rows = A.nblockcols * bc - A.ncols
-        nrows, dtype = A.nrows, A.policy.value
-        blocks = A.blocks
-
-        def bcsr_kernel(B: np.ndarray) -> np.ndarray:
-            B = A.check_dense_operand(B, k)
-            kk = B.shape[1]
-            Bp = np.vstack([B, np.zeros((pad_rows, kk), dtype=B.dtype)]) if pad_rows else B
-            panels = Bp[flat_cols].reshape(A.nblocks, bc, kk)
-            prods = np.einsum("nrc,nck->nrk", blocks, panels)
-            summed = segment_sum(prods.reshape(A.nblocks, br * kk), brow_ptr)
-            Cp = summed.reshape(A.nblockrows * br, kk)
-            return np.ascontiguousarray(Cp[:nrows])
-
-        return bcsr_kernel
-    if isinstance(A, SELL):
-        # Padded-rectangle streaming with the segment-reduction plan
-        # hoisted: the chunk-major storage read through padded_indptr() is
-        # a CSR over sorted rows (padding slots carry value 0), reduced the
-        # same way sell_spmm_serial streams it — outputs are bit-identical.
-        indptr = A.padded_indptr()
-        values_col = np.ascontiguousarray(A.values)[:, None]
-        segments = plan_stream_segments(
-            indptr, A.indices, values_col, k, max_elements=chunk_elements
-        )
-        nrows, dtype, perm = A.nrows, A.policy.value, A.permutation
-
-        def sell_kernel(B: np.ndarray) -> np.ndarray:
-            B = A.check_dense_operand(B, k)
-            Cp = np.zeros((nrows, B.shape[1]), dtype=dtype)
-            run_stream_segments(segments, B, Cp)
-            C = np.empty_like(Cp)
-            C[perm] = Cp
-            return C
-
-        return sell_kernel
-    # BELL gains little from specialization; reuse the serial kernel.
-    return lambda B: serial_spmm(A, B, k)
+    lowered(A)
+    return lambda B: serial_spmm(A, B, k, chunk_elements=chunk_elements)
 
 
-_SPECIALIZATION_CACHE: dict[tuple[int, int, int], Callable] = {}
-
-
-def optimized_spmm(
-    A,
-    B: np.ndarray,
-    k: int | None = None,
-    *,
-    chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-    **_opts,
-) -> np.ndarray:
-    """Run the fixed-k specialized kernel, caching specializations.
-
-    The cache key is ``(id(A), k, chunk_elements)`` — the benchmark loop
-    calls the same matrix repeatedly, which is exactly when template
-    specialization pays.
-    """
-    B_arr = np.asarray(B)
-    kk = k if k is not None else B_arr.shape[1]
-    key = (id(A), kk, chunk_elements)
-    kernel = _SPECIALIZATION_CACHE.get(key)
-    if kernel is None:
-        kernel = specialize_spmm(A, kk, chunk_elements)
-        if len(_SPECIALIZATION_CACHE) > 256:
-            _SPECIALIZATION_CACHE.clear()
-        _SPECIALIZATION_CACHE[key] = kernel
-    return kernel(B_arr)
+#: Study 9's optimized kernel is the serial executor (see module docstring).
+optimized_spmm = serial_spmm

@@ -1,16 +1,22 @@
-"""CPU-parallel SpMM kernels (the paper's OpenMP kernels).
+"""CPU-parallel SpMM (the paper's OpenMP kernels).
 
-The paper parallelizes the outer row loop with OpenMP (§4.2); here each
-format partitions its natural work unit — rows for COO/CSR/ELL/BELL, block
-rows for BCSR, equal-nnz tiles for CSR5 — into contiguous ranges executed on
-a ``ThreadPoolExecutor``.  Workers write disjoint row ranges of C, so no
-locking is needed (CSR5 merges boundary "dirty rows" after the join).  NumPy
-releases the GIL inside its kernels, so the threads genuinely overlap.
+The paper parallelizes the outer row loop with OpenMP (§4.2).  Here the
+parallel kernel is the same row-group executor as the serial one (see
+:mod:`repro.kernels.rowgroups`): its work list — batches of equal-length
+rows — is cut into balanced contiguous slices by stored slots and handed
+to a process-shared ``ThreadPoolExecutor``.  Workers write disjoint rows
+of C, so no locking or merging is needed, and NumPy releases the GIL
+inside its gathers and matmuls, so the threads genuinely overlap.
 
-Two schedules mirror OpenMP's: ``static`` hands each thread one balanced
-contiguous range; ``dynamic`` over-decomposes into ``threads * 4`` chunks
-that workers pull as they finish — the paper's skewed matrices (``torso1``)
-are where dynamic pays.
+Two schedules mirror OpenMP's: ``static`` cuts ``threads`` slices;
+``dynamic`` over-decomposes into ``threads * 4`` slices that workers pull
+as they finish — the paper's skewed matrices (``torso1``) are where
+dynamic pays.
+
+Exactness: every output row is computed the same way whichever slice
+holds it, so results are bit-identical to the serial kernel (and every
+other forward variant name) for any thread count, schedule, and
+``chunk_elements``.
 """
 
 from __future__ import annotations
@@ -18,26 +24,17 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from ..errors import KernelError
-from ..formats.bcsr import BCSR
-from ..formats.bell import BELL
-from ..formats.coo import COO
-from ..formats.csr import CSR
-from ..formats.csr5 import CSR5
-from ..formats.ell import ELL
-from ..formats.sell import SELL
-from .common import balanced_partitions, plan_stream_segments, run_stream_segments
-from .serial import _segmented_stream_spmm
+from .common import DEFAULT_CHUNK_ELEMENTS
+from .rowgroups import run_row_groups
 
 __all__ = [
     "parallel_spmm",
     "effective_threads",
-    "specialize_parallel_spmm",
     "shared_pool",
     "shutdown_shared_pools",
 ]
@@ -46,7 +43,7 @@ DEFAULT_THREADS = 32  # the paper's default for all parallel studies (§5.1)
 
 #: Process-lifetime executors, one per worker count.  Creating a
 #: ``ThreadPoolExecutor`` per call costs more than a small SpMM at bench
-#: scales; plan-specialized kernels reuse these instead.
+#: scales, so every parallel call reuses these instead.
 _SHARED_POOLS: dict[int, ThreadPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
 
@@ -136,91 +133,6 @@ def effective_threads(requested: int, tracer=None) -> int:
     return used
 
 
-def _resolve_chunks(indptr: np.ndarray, threads: int, schedule: str) -> list[tuple[int, int]]:
-    if schedule == "static":
-        parts = threads
-    elif schedule == "dynamic":
-        parts = threads * 4
-    else:
-        raise KernelError(f"unknown schedule {schedule!r}; use 'static' or 'dynamic'")
-    return [rng for rng in balanced_partitions(indptr, parts) if rng[0] < rng[1]]
-
-
-def _run_workers(fn, chunks, threads: int, tracer=None, pool=None) -> None:
-    if tracer is not None:
-        tracer.count("chunks_scheduled", len(chunks))
-
-        inner = fn
-
-        def fn(c, _inner=inner):
-            t0 = time.perf_counter()
-            _inner(c)
-            tracer.record_worker(time.perf_counter() - t0)
-
-    if threads <= 1 or len(chunks) <= 1:
-        for c in chunks:
-            fn(c)
-        return
-    if pool is not None:
-        # Consume results to propagate worker exceptions.
-        list(pool.map(fn, chunks))
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fn, chunks))
-
-
-# -- per-format row-range executors ----------------------------------------
-
-def _stream_rows(A, indptr, indices, values, B, C, rng) -> None:
-    _segmented_stream_spmm(indptr, indices, values, B, C, row_range=rng)
-
-
-def _ell_rows(A: ELL, B: np.ndarray, C: np.ndarray, rng: tuple[int, int]) -> None:
-    r0, r1 = rng
-    idx = A.indices[r0:r1]
-    val = A.values[r0:r1]
-    for j in range(A.width):
-        C[r0:r1] += val[:, j, None] * B[idx[:, j]]
-
-
-def _bell_rows(A: BELL, B: np.ndarray, C: np.ndarray, rng: tuple[int, int]) -> None:
-    r0, r1 = rng
-    # Process slice fragments covered by [r0, r1).
-    s = r0 // A.row_block
-    row = r0
-    while row < r1:
-        slice_start = s * A.row_block
-        rows_here = min(A.rows_in_slice(s) - (row - slice_start), r1 - row)
-        width = int(A.widths[s])
-        base = int(A.slice_ptr[s]) + (row - slice_start) * width
-        idx = A.indices[base : base + rows_here * width].reshape(rows_here, width)
-        val = A.values[base : base + rows_here * width].reshape(rows_here, width)
-        for j in range(width):
-            C[row : row + rows_here] += val[:, j, None] * B[idx[:, j]]
-        row += rows_here
-        s = row // A.row_block
-
-
-def _bcsr_block_rows(
-    A: BCSR, Bp: np.ndarray, Cp: np.ndarray, rng: tuple[int, int]
-) -> None:
-    br0, br1 = rng
-    b0, b1 = int(A.indptr[br0]), int(A.indptr[br1])
-    if b0 == b1:
-        return
-    br, bc = A.block_shape
-    kk = Bp.shape[1]
-    cols = A.block_cols[b0:b1].astype(np.int64)
-    panels = Bp[(cols[:, None] * bc + np.arange(bc)[None, :]).reshape(-1)]
-    panels = panels.reshape(b1 - b0, bc, kk)
-    prods = np.einsum("nrc,nck->nrk", A.blocks[b0:b1], panels)
-    from .common import segment_sum
-
-    local_ptr = A.indptr[br0 : br1 + 1] - b0
-    summed = segment_sum(prods.reshape(b1 - b0, br * kk), local_ptr)
-    Cp[br0 * br : br1 * br] = summed.reshape((br1 - br0) * br, kk)
-
-
 def parallel_spmm(
     A,
     B: np.ndarray,
@@ -228,243 +140,26 @@ def parallel_spmm(
     *,
     threads: int = DEFAULT_THREADS,
     schedule: str = "static",
+    chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
     tracer=None,
     **_opts,
 ) -> np.ndarray:
-    """Dispatch the CPU-parallel kernel for any registered paper format."""
+    """CPU-parallel SpMM for any registered paper format."""
     if threads < 1:
         raise KernelError(f"threads must be >= 1, got {threads}")
-    threads = effective_threads(threads, tracer)
-    B = A.check_dense_operand(B, k)
-    kk = B.shape[1]
-    C = np.zeros((A.nrows, kk), dtype=A.policy.value)
-
-    if isinstance(A, COO):
-        indptr = A.row_segments()
-        chunks = _resolve_chunks(indptr, threads, schedule)
-        _run_workers(lambda rng: _stream_rows(A, indptr, A.cols, A.values, B, C, rng), chunks, threads, tracer)
-        return C
-
-    if isinstance(A, CSR5):
-        return _csr5_parallel(A, B, C, threads, schedule, tracer)
-
-    if isinstance(A, CSR):
-        chunks = _resolve_chunks(A.indptr, threads, schedule)
-        _run_workers(lambda rng: _stream_rows(A, A.indptr, A.indices, A.values, B, C, rng), chunks, threads, tracer)
-        return C
-
-    if isinstance(A, ELL):
-        # Every row has identical work (the width), so partition row counts.
-        indptr = np.arange(A.nrows + 1, dtype=np.int64)
-        chunks = _resolve_chunks(indptr, threads, schedule)
-        _run_workers(lambda rng: _ell_rows(A, B, C, rng), chunks, threads, tracer)
-        return C
-
-    if isinstance(A, BELL):
-        indptr = np.zeros(A.nrows + 1, dtype=np.int64)
-        per_row = A.widths[
-            np.minimum(np.arange(A.nrows) // A.row_block, A.nslices - 1)
-        ]
-        np.cumsum(per_row, out=indptr[1:])
-        chunks = _resolve_chunks(indptr, threads, schedule)
-        _run_workers(lambda rng: _bell_rows(A, B, C, rng), chunks, threads, tracer)
-        return C
-
-    if isinstance(A, SELL):
-        # Stream the padded-CSR view (see SELL.padded_indptr): workers own
-        # balanced sorted-row ranges weighted by stored (padded) entries —
-        # the real work — and write disjoint rows of the sorted-order
-        # buffer, scattered back through the permutation at the end.  Same
-        # per-row reduction as the serial and specialized kernels, so all
-        # SELL paths stay bit-identical.
-        indptr = A.padded_indptr()
-        chunks = _resolve_chunks(indptr, threads, schedule)
-        Cp = np.zeros((A.nrows, kk), dtype=A.policy.value)
-        _run_workers(
-            lambda rng: _stream_rows(A, indptr, A.indices, A.values, B, Cp, rng),
-            chunks,
-            threads,
-            tracer,
-        )
-        C[A.permutation] = Cp
-        return C
-
-    if isinstance(A, BCSR):
-        br, bc = A.block_shape
-        pad_rows = A.nblockcols * bc - A.ncols
-        Bp = np.vstack([B, np.zeros((pad_rows, kk), dtype=B.dtype)]) if pad_rows else B
-        Cp = np.zeros((A.nblockrows * br, kk), dtype=A.policy.value)
-        chunks = _resolve_chunks(A.indptr, threads, schedule)
-        _run_workers(lambda rng: _bcsr_block_rows(A, Bp, Cp, rng), chunks, threads, tracer)
-        C[:] = Cp[: A.nrows]
-        return C
-
-    raise KernelError(f"no parallel SpMM kernel for format {type(A).__name__}")
-
-
-def specialize_parallel_spmm(
-    A,
-    k: int,
-    *,
-    threads: int = DEFAULT_THREADS,
-    schedule: str = "static",
-):
-    """Build a fixed-``(matrix, k, threads)`` parallel kernel.
-
-    The parallel analog of :func:`repro.kernels.optimized.specialize_spmm`:
-    the work partition (``balanced_partitions`` over the format's natural
-    indptr) is resolved once, and repeat calls run on the process-shared
-    executor instead of constructing a ``ThreadPoolExecutor`` per call —
-    both costs the generic :func:`parallel_spmm` pays every time.  Returns
-    ``kernel(B, tracer=None) -> C``.  SELL specializes through its
-    padded-CSR view (sorted-row ranges, permutation scatter on the way
-    out); formats whose parallel execution is not a row-range partition
-    (CSR5 tiles, BCSR block rows) fall back to the generic kernel, keeping
-    only the conversion hoist.
-    """
-    if threads < 1:
-        raise KernelError(f"threads must be >= 1, got {threads}")
-    if k < 1:
-        raise KernelError(f"k must be >= 1, got {k}")
-    used = effective_threads(threads)
-
-    if isinstance(A, SELL):
-        return _specialize_sell_parallel(A, k, threads, used, schedule)
-
-    if isinstance(A, COO):
-        indptr, indices, values = A.row_segments(), A.cols, A.values
-    elif isinstance(A, CSR) and not isinstance(A, CSR5):
-        indptr, indices, values = A.indptr, A.indices, A.values
-    elif isinstance(A, ELL):
-        indptr = np.arange(A.nrows + 1, dtype=np.int64)
-        indices = values = None
+    if schedule == "static":
+        per_thread = 1
+    elif schedule == "dynamic":
+        per_thread = 4
     else:
-
-        def fallback(B, tracer=None):
-            return parallel_spmm(A, B, k, threads=threads, schedule=schedule, tracer=tracer)
-
-        return fallback
-
-    chunks = _resolve_chunks(indptr, used, schedule)
-    nrows, dtype = A.nrows, A.policy.value
-    pool = shared_pool(used) if used > 1 and len(chunks) > 1 else None
-
-    if indices is not None:
-        # Hoist the segmented-reduction schedule per worker range — the
-        # reduceat starts and empty-segment masks _segmented_stream_spmm
-        # otherwise re-derives on every call.  Work items become the
-        # precomputed schedules themselves (one per range, so the tracer's
-        # chunks_scheduled count is unchanged).
-        values_col = np.ascontiguousarray(values)[:, None]
-        seg_plans = [
-            plan_stream_segments(indptr, indices, values_col, k, rng) for rng in chunks
-        ]
-    else:
-        seg_plans = None
-
-    def kernel(B, tracer=None):
-        if tracer is not None:
-            # Keep the per-call clamp accounting of the unplanned kernel.
-            effective_threads(threads, tracer)
-        Bc = A.check_dense_operand(B, k)
-        C = np.zeros((nrows, Bc.shape[1]), dtype=dtype)
-        if seg_plans is None:
-            _run_workers(lambda rng: _ell_rows(A, Bc, C, rng), chunks, used, tracer, pool=pool)
-        else:
-            _run_workers(
-                lambda segs: run_stream_segments(segs, Bc, C),
-                seg_plans,
-                used,
-                tracer,
-                pool=pool,
-            )
-        return C
-
-    return kernel
-
-
-def _specialize_sell_parallel(A: SELL, k: int, threads: int, used: int, schedule: str):
-    """Fixed-(matrix, k, threads) SELL kernel: padded-rectangle streaming.
-
-    The chunk-major storage read through :meth:`SELL.padded_indptr` is a
-    padded CSR over sorted rows, so workers take balanced sorted-row ranges
-    (weighted by stored — padded — entries, which is the real work) with
-    pre-planned segment schedules, fill a sorted-order buffer, and the
-    result scatters back through the permutation.  Per-row reductions match
-    ``sell_spmm_serial`` exactly, so outputs are bit-identical.
-    """
-    indptr = A.padded_indptr()
-    chunks = _resolve_chunks(indptr, used, schedule)
-    values_col = np.ascontiguousarray(A.values)[:, None]
-    seg_plans = [
-        plan_stream_segments(indptr, A.indices, values_col, k, rng) for rng in chunks
-    ]
-    nrows, dtype, perm = A.nrows, A.policy.value, A.permutation
-    pool = shared_pool(used) if used > 1 and len(seg_plans) > 1 else None
-
-    def kernel(B, tracer=None):
-        if tracer is not None:
-            # Keep the per-call clamp accounting of the unplanned kernel.
-            effective_threads(threads, tracer)
-        Bc = A.check_dense_operand(B, k)
-        Cp = np.zeros((nrows, Bc.shape[1]), dtype=dtype)
-        _run_workers(
-            lambda segs: run_stream_segments(segs, Bc, Cp),
-            seg_plans,
-            used,
-            tracer,
-            pool=pool,
-        )
-        C = np.empty_like(Cp)
-        C[perm] = Cp
-        return C
-
-    return kernel
-
-
-def _csr5_parallel(
-    A: CSR5, B: np.ndarray, C: np.ndarray, threads: int, schedule: str, tracer=None
-) -> np.ndarray:
-    """Tile-partitioned CSR5 execution with dirty-row merging.
-
-    Workers own contiguous tile ranges (equal nnz each — the CSR5 load
-    balance story).  A row spanning two workers gets partial sums from both;
-    partials are returned per worker and merged on the main thread.
-    """
-    if A.ntiles == 0:
-        return C
-    parts = threads if schedule == "static" else threads * 4
-    parts = min(parts, A.ntiles)
-    bounds = np.linspace(0, A.ntiles, parts + 1, dtype=np.int64)
-    kk = B.shape[1]
-
-    def work(p: int):
-        t0, t1 = int(bounds[p]), int(bounds[p + 1])
-        if t0 == t1:
-            return None
-        w0 = time.perf_counter()
-        e0, e1 = int(A.tile_ptr[t0]), int(A.tile_ptr[t1])
-        r_first = int(A.tile_first_row[t0])
-        r_last = int(A.tile_last_row[t1 - 1])
-        products = A.values[e0:e1, None] * B[A.indices[e0:e1]]
-        local_ptr = np.clip(A.indptr[r_first : r_last + 2] - e0, 0, e1 - e0)
-        from .common import segment_sum
-
-        local = segment_sum(products, local_ptr)
-        if tracer is not None:
-            tracer.record_worker(time.perf_counter() - w0)
-        return r_first, r_last, local
-
-    if tracer is not None:
-        tracer.count("chunks_scheduled", parts)
-    if threads <= 1 or parts <= 1:
-        results = [work(p) for p in range(parts)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(parts)))
-    for res in results:
-        if res is None:
-            continue
-        r_first, r_last, local = res
-        C[r_first : r_last + 1] += local
-    return C
+        raise KernelError(f"unknown schedule {schedule!r}; use 'static' or 'dynamic'")
+    used = effective_threads(threads, tracer)
+    return run_row_groups(
+        A,
+        B,
+        k,
+        parts=used * per_thread,
+        chunk_elements=chunk_elements,
+        pool=shared_pool(used) if used > 1 else None,
+        tracer=tracer,
+    )

@@ -46,8 +46,9 @@ from ..formats.base import SparseFormat
 from ..formats.registry import get_format
 from ..matrices.coo_builder import Triplets
 from .common import DEFAULT_CHUNK_ELEMENTS
-from .optimized import specialize_spmm
-from .parallel import specialize_parallel_spmm
+from .parallel import parallel_spmm
+from .rowgroups import lowered
+from .serial import serial_spmm
 
 __all__ = [
     "PLAN_CACHE_VERSION",
@@ -224,17 +225,30 @@ def _specialize_variant(
     chunk_elements: int,
 ) -> Callable[..., np.ndarray]:
     """Build the per-variant closure over a formatted matrix."""
-    if variant in ("serial", "optimized"):
-        kern = specialize_spmm(A, k, chunk_elements=chunk_elements)
+    if variant in ("serial", "optimized", "grouped"):
+        lowered(A)  # build the memoized lowering with the plan, not on first call
 
         def serial_call(B, tracer=None):
-            return kern(B)
+            return serial_spmm(A, B, k, chunk_elements=chunk_elements)
 
         return serial_call
-    if variant in ("parallel", "optimized_parallel"):
-        return specialize_parallel_spmm(A, k, threads=threads, schedule=schedule)
-    # Remaining plannable variants (transpose, grouped): the conversion
-    # artifact is the hoistable part; close over the generic kernel.
+    if variant in ("parallel", "optimized_parallel", "grouped_parallel"):
+        lowered(A)
+
+        def parallel_call(B, tracer=None):
+            return parallel_spmm(
+                A,
+                B,
+                k,
+                threads=threads,
+                schedule=schedule,
+                chunk_elements=chunk_elements,
+                tracer=tracer,
+            )
+
+        return parallel_call
+    # Transpose variants: the conversion artifact is the hoistable part;
+    # close over the generic kernel.
     from .dispatch import get_kernel  # local: dispatch imports this module's peers
 
     kern = get_kernel(variant, "spmm")

@@ -1,253 +1,45 @@
-"""Serial SpMM kernels — one per format, matching the paper's algorithms.
+"""Serial SpMM: the row-group executor on one thread.
 
-Each kernel computes ``C = A @ B`` (optionally truncated to the first ``k``
-columns of ``B``, the suite's ``-k`` parameter).  The implementations are
-vectorized per format exactly the way the paper's C loops are structured:
+Each format computes ``C = A @ B`` (optionally truncated to the first ``k``
+columns of ``B``, the suite's ``-k`` parameter) by lowering once into
+groups of rows that share a stored length and running every group as a
+batched matmul — see :mod:`repro.kernels.rowgroups`.  The lowering keeps
+each format's own stored work, which is the performance story the paper
+measures: CSR/COO/CSR5 run exact row lengths, ELL runs its full padded
+width, SELL/BELL their per-chunk or per-slice widths, and BCSR its dense
+``br x bc`` tiles against gathered B panels.
 
-* **COO** streams entries and scatters into C rows;
-* **CSR** streams entries row-segment-wise (segmented reduction);
-* **ELL** iterates the fixed width, one full-matrix column slot at a time —
-  the "very simple and easily vectorizable" loop of §2.2, which also
-  executes every padded slot;
-* **BCSR** multiplies dense ``br x bc`` tiles against gathered B panels;
-* **BELL** runs the ELL loop per row slice with that slice's width;
-* **CSR5** reduces over equal-nnz tiles with dirty-row merging.
+``chunk_elements`` bounds the gathered intermediate per batch, so large
+matrices never materialize multi-GB temporaries — the paper hit exactly
+this wall (§6.3.5, "they used a huge amount of the available RAM").
 
-Row chunking keeps intermediates bounded (see :mod:`repro.kernels.common`).
+Exactness: bit-identical to every other forward variant name of the same
+format under any ``chunk_elements``; across formats, rtol only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import KernelError
-from ..formats.bcsr import BCSR
-from ..formats.bell import BELL
-from ..formats.coo import COO
-from ..formats.csr import CSR
-from ..formats.csr5 import CSR5
-from ..formats.ell import ELL
-from ..formats.sell import SELL
-from .common import DEFAULT_CHUNK_ELEMENTS, iter_row_chunks, segment_sum
+from .common import DEFAULT_CHUNK_ELEMENTS
+from .rowgroups import run_row_groups
 
-__all__ = [
-    "coo_spmm_serial",
-    "csr_spmm_serial",
-    "ell_spmm_serial",
-    "bcsr_spmm_serial",
-    "bell_spmm_serial",
-    "csr5_spmm_serial",
-]
+__all__ = ["serial_spmm", "spmm_serial_reference"]
 
 
-def _segmented_stream_spmm(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    values: np.ndarray,
-    B: np.ndarray,
-    C: np.ndarray,
-    row_range: tuple[int, int] | None = None,
-    max_elements: int = DEFAULT_CHUNK_ELEMENTS,
-) -> np.ndarray:
-    """Entry-stream SpMM shared by COO/CSR/CSR5: gather, scale, segment-sum."""
-    k = B.shape[1]
-    r_lo, r_hi = row_range if row_range is not None else (0, indptr.size - 1)
-    sub_ptr = indptr[r_lo : r_hi + 1]
-    for c0, c1 in iter_row_chunks(sub_ptr - sub_ptr[0], k, max_elements):
-        e0, e1 = int(sub_ptr[c0]), int(sub_ptr[c1])
-        if e0 == e1:
-            continue
-        products = values[e0:e1, None] * B[indices[e0:e1]]
-        local_ptr = sub_ptr[c0 : c1 + 1] - e0
-        segment_sum(products, local_ptr, out=C[r_lo + c0 : r_lo + c1])
-    return C
-
-
-def coo_spmm_serial(
-    A: COO,
+def serial_spmm(
+    A,
     B: np.ndarray,
     k: int | None = None,
     *,
     chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
     **_opts,
 ) -> np.ndarray:
-    """COO SpMM: stream (row, col, value) triplets and accumulate into C."""
-    B = A.check_dense_operand(B, k)
-    C = np.zeros((A.nrows, B.shape[1]), dtype=A.policy.value)
-    indptr = A.row_segments()
-    return _segmented_stream_spmm(indptr, A.cols, A.values, B, C, max_elements=chunk_elements)
-
-
-def csr_spmm_serial(
-    A: CSR,
-    B: np.ndarray,
-    k: int | None = None,
-    *,
-    chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-    **_opts,
-) -> np.ndarray:
-    """CSR SpMM: per-row segments over the compressed entry stream."""
-    B = A.check_dense_operand(B, k)
-    C = np.zeros((A.nrows, B.shape[1]), dtype=A.policy.value)
-    return _segmented_stream_spmm(
-        A.indptr, A.indices, A.values, B, C, max_elements=chunk_elements
-    )
-
-
-def ell_spmm_serial(A: ELL, B: np.ndarray, k: int | None = None, **_opts) -> np.ndarray:
-    """ELL SpMM: iterate the fixed width, all rows per slot.
-
-    Executes the padded slots too — padding values are zero so the result is
-    exact, but the work (the performance story) is ``nrows * width``.
-    """
-    B = A.check_dense_operand(B, k)
-    C = np.zeros((A.nrows, B.shape[1]), dtype=A.policy.value)
-    for j in range(A.width):
-        C += A.values[:, j, None] * B[A.indices[:, j]]
-    return C
-
-
-def bcsr_spmm_serial(
-    A: BCSR,
-    B: np.ndarray,
-    k: int | None = None,
-    *,
-    max_elements: int = DEFAULT_CHUNK_ELEMENTS,
-    chunk_elements: int | None = None,
-    **_opts,
-) -> np.ndarray:
-    """BCSR SpMM: dense tile times gathered B panel, per block row.
-
-    For each stored tile at block column ``c``, gather the ``bc`` consecutive
-    B rows starting at ``c * bc`` and contract ``(br, bc) @ (bc, k)``; tiles
-    of a block row accumulate into the same C panel.
-    """
-    if chunk_elements is not None:
-        max_elements = chunk_elements
-    B = A.check_dense_operand(B, k)
-    kk = B.shape[1]
-    br, bc = A.block_shape
-    C = np.zeros((A.nrows, kk), dtype=A.policy.value)
-    if A.nblocks == 0:
-        return C
-    # Pad B so edge blocks can gather a full bc-panel.
-    pad_rows = A.nblockcols * bc - A.ncols
-    Bp = np.vstack([B, np.zeros((pad_rows, kk), dtype=B.dtype)]) if pad_rows else B
-    Cp_rows = A.nblockrows * br
-    Cp = np.zeros((Cp_rows, kk), dtype=A.policy.value)
-
-    # Chunk block rows to bound the (chunk_blocks, bc, k) gather.
-    per_entry = br * bc
-    budget_blocks = max(1, max_elements // max(per_entry * kk // br, 1))
-    brow_of_block = A.block_row_of_blocks()
-    b0 = 0
-    while b0 < A.nblocks:
-        b1 = min(A.nblocks, b0 + budget_blocks)
-        # Do not split a block row across chunks: extend to its end.
-        b1 = int(np.searchsorted(brow_of_block, brow_of_block[b1 - 1], side="right"))
-        cols = A.block_cols[b0:b1].astype(np.int64)
-        panels = Bp[(cols[:, None] * bc + np.arange(bc)[None, :]).reshape(-1)]
-        panels = panels.reshape(b1 - b0, bc, kk)
-        prods = np.einsum("nrc,nck->nrk", A.blocks[b0:b1], panels)
-        # Tiles are sorted by block row: segment-sum over block-row spans.
-        r_lo = int(brow_of_block[b0])
-        r_hi = int(brow_of_block[b1 - 1]) + 1
-        local_ptr = np.clip(A.indptr[r_lo : r_hi + 1] - b0, 0, b1 - b0)
-        flat = prods.reshape(b1 - b0, br * kk)
-        summed = segment_sum(flat, local_ptr)
-        Cp[r_lo * br : r_hi * br] += summed.reshape((r_hi - r_lo) * br, kk)
-        b0 = b1
-    C[:] = Cp[: A.nrows]
-    return C
-
-
-def bell_spmm_serial(A: BELL, B: np.ndarray, k: int | None = None, **_opts) -> np.ndarray:
-    """BELL SpMM: the ELL slot loop per row slice, with per-slice width."""
-    B = A.check_dense_operand(B, k)
-    kk = B.shape[1]
-    C = np.zeros((A.nrows, kk), dtype=A.policy.value)
-    for s in range(A.nslices):
-        r0 = s * A.row_block
-        rows = A.rows_in_slice(s)
-        width = int(A.widths[s])
-        base = int(A.slice_ptr[s])
-        idx = A.indices[base : base + rows * width].reshape(rows, width)
-        val = A.values[base : base + rows * width].reshape(rows, width)
-        for j in range(width):
-            C[r0 : r0 + rows] += val[:, j, None] * B[idx[:, j]]
-    return C
-
-
-def csr5_spmm_serial(
-    A: CSR5,
-    B: np.ndarray,
-    k: int | None = None,
-    *,
-    chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-    **_opts,
-) -> np.ndarray:
-    """CSR5 SpMM: segmented reduction over equal-nnz tiles.
-
-    Serially the tiles reduce in order, merging the partial sum of rows that
-    span tile boundaries ("dirty rows").  Functionally this equals the CSR
-    segment sum, so the serial kernel reuses it; the tile structure matters
-    for the parallel variant.
-    """
-    B = A.check_dense_operand(B, k)
-    C = np.zeros((A.nrows, B.shape[1]), dtype=A.policy.value)
-    return _segmented_stream_spmm(
-        A.indptr, A.indices, A.values, B, C, max_elements=chunk_elements
-    )
-
-
-def sell_spmm_serial(
-    A: SELL,
-    B: np.ndarray,
-    k: int | None = None,
-    *,
-    chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-    **_opts,
-) -> np.ndarray:
-    """SELL-C-sigma SpMM: padded-rectangle streaming over the sorted rows.
-
-    The chunk-major storage read through :meth:`SELL.padded_indptr` is a
-    padded CSR over sorted positions (padding slots carry value 0), so the
-    whole matrix runs as one segmented reduction — no per-chunk Python loop
-    — and the result scatters back through the permutation.  Streaming the
-    same per-row product vectors as the specialized/parallel kernels keeps
-    every SELL execution path bit-identical.
-    """
-    B = A.check_dense_operand(B, k)
-    Cp = np.zeros((A.nrows, B.shape[1]), dtype=A.policy.value)
-    _segmented_stream_spmm(
-        A.padded_indptr(), A.indices, A.values, B, Cp, max_elements=chunk_elements
-    )
-    C = np.empty_like(Cp)
-    C[A.permutation] = Cp
-    return C
+    """Serial SpMM for any registered paper format."""
+    return run_row_groups(A, B, k, chunk_elements=chunk_elements)
 
 
 def spmm_serial_reference(A, B: np.ndarray, k: int | None = None) -> np.ndarray:
     """Dense reference multiply for verification (tests only)."""
     B = A.check_dense_operand(B, k)
     return A.to_dense() @ B
-
-
-SERIAL_KERNELS = {
-    "coo": coo_spmm_serial,
-    "csr": csr_spmm_serial,
-    "ell": ell_spmm_serial,
-    "bcsr": bcsr_spmm_serial,
-    "bell": bell_spmm_serial,
-    "csr5": csr5_spmm_serial,
-    "sell": sell_spmm_serial,
-}
-
-
-def serial_spmm(A, B: np.ndarray, k: int | None = None, **opts) -> np.ndarray:
-    """Dispatch the serial kernel for any registered paper format."""
-    try:
-        fn = SERIAL_KERNELS[A.format_name]
-    except KeyError:
-        raise KernelError(f"no serial SpMM kernel for format {A.format_name!r}")
-    return fn(A, B, k, **opts)

@@ -207,7 +207,9 @@ def run_loadgen(
 
     Every request is scheduled at ``t0 + i/rps``; a connection thread that
     falls behind sends immediately and the lag is recorded, so the offered
-    load is honest even when the server is the bottleneck.
+    load is honest even when the server is the bottleneck.  Latency is
+    measured from that due time, so time a request spends queued behind a
+    stalled one counts against it (no coordinated omission).
     """
     tracer = tracer if tracer is not None else Tracer()
     report = LoadGenReport(spec=spec)
@@ -247,7 +249,6 @@ def run_loadgen(
                     spec.matrices[i % len(spec.matrices)] if hot else cold[i]
                 )
                 priority = spec.priorities[i % len(spec.priorities)]
-                sent_at = time.perf_counter()
                 try:
                     reply = client.multiply(
                         matrix,
@@ -273,7 +274,9 @@ def run_loadgen(
                         report.failed += 1
                     tracer.count("loadgen_failed")
                     continue
-                latency = time.perf_counter() - sent_at
+                # Open-loop latency runs from the due time, not the send:
+                # a stall then shows in every request queued behind it.
+                latency = time.perf_counter() - sched
                 with lock:
                     report.sent += 1
                     report.completed += 1

@@ -85,13 +85,11 @@ DEFAULT_FORMAT_PARAMS: dict[str, dict[str, int]] = {
     "sell": {"chunk": 4, "sigma": 8},
 }
 
-#: Formats each non-universal variant supports (see kernels/transpose.py,
-#: kernels/grouped.py); everything else runs on all registered formats.
+#: Formats each non-universal variant supports (see kernels/transpose.py);
+#: everything else runs on all registered formats.
 _VARIANT_FORMATS = {
     "serial_transpose": ("coo", "csr", "csr5", "ell", "bcsr"),
     "parallel_transpose": ("coo", "csr", "csr5", "ell", "bcsr"),
-    "grouped": ("coo", "csr", "csr5"),
-    "grouped_parallel": ("coo", "csr", "csr5"),
 }
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import VerificationError
 from ..formats.coo import COO
-from ..kernels.serial import coo_spmm_serial
+from ..kernels.serial import serial_spmm
 from ..matrices.coo_builder import Triplets
 
 __all__ = [
@@ -42,7 +42,7 @@ ACCUMULATION_FACTOR = 16
 def reference_spmm(triplets: Triplets, B: np.ndarray, k: int | None = None) -> np.ndarray:
     """The COO reference multiply used for verification (paper §4.3)."""
     ref_fmt = COO.from_triplets(triplets)
-    return coo_spmm_serial(ref_fmt, B, k)
+    return serial_spmm(ref_fmt, B, k)
 
 
 def dense_reference(triplets: Triplets, B: np.ndarray, k: int | None = None) -> np.ndarray:

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import KernelError
-from repro.kernels.serial import (
-    SERIAL_KERNELS,
-    bcsr_spmm_serial,
-    serial_spmm,
-    spmm_serial_reference,
-)
+from repro.kernels.rowgroups import LOWERINGS, lowered
+from repro.kernels.serial import serial_spmm, spmm_serial_reference
 from tests.conftest import ALL_FORMATS, build_format, make_random_triplets
 
 
@@ -61,7 +57,7 @@ class TestSerialCorrectness:
         assert np.allclose(serial_spmm(A, B), 0.0)
 
     def test_every_registered_kernel_exists(self):
-        assert set(SERIAL_KERNELS) == set(ALL_FORMATS)
+        assert set(LOWERINGS) == set(ALL_FORMATS)
 
     def test_dispatch_unknown_format(self, small_triplets, rng):
         class Fake:
@@ -83,37 +79,32 @@ class TestChunking:
         t = make_random_triplets(50, 50, density=0.15, seed=9)
         A = build_format("bcsr", t)
         B = rng.standard_normal((50, 8))
-        full = bcsr_spmm_serial(A, B)
-        tiny_chunks = bcsr_spmm_serial(A, B, max_elements=64)
-        assert np.allclose(full, tiny_chunks)
+        full = serial_spmm(A, B)
+        tiny_chunks = serial_spmm(A, B, chunk_elements=64)
+        assert np.array_equal(full, tiny_chunks)
 
     def test_stream_chunked_matches(self, rng):
         t = make_random_triplets(60, 40, density=0.2, seed=10)
         A = build_format("csr", t)
         B = rng.standard_normal((40, 8))
-        from repro.kernels.serial import _segmented_stream_spmm
+        C1 = serial_spmm(A, B)
+        C2 = serial_spmm(A, B, chunk_elements=32)
+        assert np.array_equal(C1, C2)
 
-        C1 = np.zeros((60, 8))
-        _segmented_stream_spmm(A.indptr, A.indices, A.values, B, C1)
-        C2 = np.zeros((60, 8))
-        _segmented_stream_spmm(
-            A.indptr, A.indices, A.values, B, C2, max_elements=32
-        )
-        assert np.allclose(C1, C2)
-
-    def test_row_range_restricts(self, small_triplets, rng):
-        from repro.kernels.serial import _segmented_stream_spmm
-
-        A = build_format("csr", small_triplets)
-        B = rng.standard_normal((A.ncols, 5))
-        C = np.zeros((A.nrows, 5))
-        _segmented_stream_spmm(
-            A.indptr, A.indices, A.values, B, C, row_range=(5, 12)
-        )
-        ref = small_triplets.to_dense() @ B
-        assert np.allclose(C[5:12], ref[5:12])
-        assert np.allclose(C[:5], 0.0)
-        assert np.allclose(C[12:], 0.0)
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    @pytest.mark.parametrize("parts", [1, 3, 8])
+    def test_schedule_slices_cover_rows_once(self, skewed_triplets, fmt, parts):
+        groups = lowered(build_format(fmt, skewed_triplets))
+        seen = {gi: np.zeros(g.idx.shape[0], dtype=int) for gi, g in enumerate(groups.groups)}
+        slices = groups.schedule(budget_entries=7, parts=parts)
+        assert 1 <= len(slices) <= parts
+        for items in slices:
+            for gi, r0, r1 in items:
+                assert r0 < r1
+                # An item gathers at most the budget, unless one row alone is wider.
+                assert (r1 - r0) * groups.groups[gi].length <= max(7, groups.groups[gi].length)
+                seen[gi][r0:r1] += 1
+        assert all((counts == 1).all() for counts in seen.values())
 
 
 class TestDtypes:

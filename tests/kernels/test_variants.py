@@ -7,8 +7,9 @@ import pytest
 from repro.errors import KernelError, OffloadError
 from repro.kernels.dispatch import get_kernel, kernel_variants, run_spmm
 from repro.kernels.gpu import gpu_execution_stats, gpu_spmm, gpu_spmm_with_stats
-from repro.kernels.grouped import build_plan, grouped_spmm
+from repro.kernels.grouped import grouped_spmm
 from repro.kernels.optimized import optimized_spmm, specialize_spmm
+from repro.kernels.rowgroups import lowered
 from repro.kernels.transpose import transpose_operand, transpose_spmm
 from tests.conftest import ALL_FORMATS, build_format, make_random_triplets
 
@@ -158,12 +159,13 @@ class TestGrouped:
 
     def test_plan_groups_by_length(self, small_triplets):
         A = build_format("csr", small_triplets)
-        plan = build_plan(A)
-        total_rows = sum(rows.size for rows, _, _ in plan.groups)
+        groups = lowered(A).groups
+        total_rows = sum(g.idx.shape[0] for g in groups)
         nonempty = int((small_triplets.row_counts() > 0).sum())
         assert total_rows == nonempty
-        for _, idx_mat, val_mat in plan.groups:
-            assert idx_mat.shape == val_mat.shape
+        assert len({g.length for g in groups}) == len(groups)
+        for g in groups:
+            assert g.val.shape == (g.idx.shape[0], 1, g.length)
 
     def test_empty_rows_stay_zero(self, empty_rows_triplets, rng):
         A = build_format("csr", empty_rows_triplets)
@@ -171,10 +173,11 @@ class TestGrouped:
         C = grouped_spmm(A, B)
         assert np.allclose(C, dense_ref(empty_rows_triplets, B))
 
-    def test_unsupported_format(self, small_triplets, rng):
-        A = build_format("ell", small_triplets)
-        with pytest.raises(KernelError):
-            grouped_spmm(A, rng.standard_normal((A.ncols, 2)))
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    def test_every_format_matches_serial(self, small_triplets, rng, fmt):
+        A = build_format(fmt, small_triplets)
+        B = rng.standard_normal((A.ncols, 6))
+        assert np.array_equal(grouped_spmm(A, B, threads=3), run_spmm(A, B, variant="serial"))
 
     def test_skewed(self, skewed_triplets, rng):
         A = build_format("csr", skewed_triplets)

@@ -1,9 +1,14 @@
 """Load-generator and regression-gate tests."""
 
+import threading
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import BenchConfigError
 from repro.serve import LoadGenSpec, Server, run_loadgen
+from repro.serve import loadgen as loadgen_module
 from repro.serve.loadgen import loadgen_trajectory
 from repro.serve.metrics import DepthTracker, LatencyRecorder, percentile
 from repro.serve.trajectory import (
@@ -96,6 +101,50 @@ class TestLoadGen:
             assert counters["serve_admitted_batch"] >= 1
         finally:
             srv.stop()
+
+
+class _StallingClient:
+    """Stands in for ``Client``: the first multiply stalls, the rest are instant."""
+
+    STALL_S = 0.4
+    calls = 0
+    lock = threading.Lock()
+
+    def __init__(self, host, port, tenant="default"):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def multiply(self, matrix, **kwargs):
+        with self.lock:
+            first = _StallingClient.calls == 0
+            _StallingClient.calls += 1
+        if first:
+            time.sleep(self.STALL_S)
+        return SimpleNamespace(plan_provenance="memory", migrated=False, mean_time_s=None)
+
+    def stats(self):
+        return {}
+
+
+class TestOpenLoopLatency:
+    def test_stall_shows_in_requests_queued_behind_it(self, monkeypatch):
+        """Latency runs from the due time: on one connection, requests due
+        during a 0.4 s stall wait for it, and that wait is their latency."""
+        monkeypatch.setattr(loadgen_module, "Client", _StallingClient)
+        monkeypatch.setattr(_StallingClient, "calls", 0)
+        spec = LoadGenSpec(rps=20, duration_s=0.5, mix=1.0, connections=1)
+        report = run_loadgen("127.0.0.1", 0, spec)
+        assert report.completed == spec.total_requests == 10
+        samples = sorted(report.latency._samples, reverse=True)
+        # Request i (due at i * 50 ms) waits out the stall until ~400 ms.
+        assert samples[0] >= 0.9 * _StallingClient.STALL_S
+        assert sum(s >= 0.1 for s in samples) >= 5
+        assert report.behind_schedule_s > 0.5
 
 
 class TestGate:

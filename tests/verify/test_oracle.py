@@ -24,7 +24,7 @@ from repro.verify import (
     supported_variants,
 )
 from repro.verify.adversarial import build_adversarial
-from tests.conftest import FORMAT_PARAMS, build_format, make_random_triplets
+from tests.conftest import ALL_FORMATS, FORMAT_PARAMS, build_format, make_random_triplets
 
 ZOO_SAMPLE = ("empty", "empty_rows", "one_by_n", "n_by_one", "prime_dims",
               "single_dense_row", "duplicate_coo", "cancelling_duplicates")
@@ -147,9 +147,13 @@ class TestSupportedVariants:
         assert "serial_transpose" in supported_variants("csr", ("serial_transpose",))
         assert supported_variants("sell", ("serial_transpose",)) == ()
 
-    def test_grouped_limited(self):
-        assert "grouped" in supported_variants("coo", ("grouped",))
-        assert supported_variants("bcsr", ("grouped",)) == ()
+    def test_grouped_on_every_format(self):
+        # grouped names the row-group executor, which every format lowers to.
+        for fmt in ALL_FORMATS:
+            assert supported_variants(fmt, ("grouped", "grouped_parallel")) == (
+                "grouped",
+                "grouped_parallel",
+            )
 
     def test_universal_variants_everywhere(self):
         for fmt in FORMAT_PARAMS:
